@@ -1,9 +1,9 @@
 """Evaluation-kernel backends: measured speedup behind an exactness gate.
 
-The pluggable kernels of :mod:`repro.linalg.kernels` (sparse CSR x CSC,
-packed bitset, incremental parent-indicator) are pure performance
-optimizations — every backend must produce *bitwise identical* slices and
-statistics.  This bench asserts exactly that (the exactness gate: any
+The pluggable kernels of :mod:`repro.linalg.kernels` (sparse CSR x CSC
+and packed bitset, plus the ``auto`` per-level cost model choosing between
+them) are pure performance optimizations — every backend must produce
+*bitwise identical* slices and statistics.  This bench asserts exactly that (the exactness gate: any
 divergence fails the suite) and **reports** the measured numbers: end-to-
 end seconds per backend plus the per-level ``level{L}.evaluate`` kernel
 seconds and the backend each level actually chose, written to
@@ -29,7 +29,7 @@ from repro.experiments import bench_config
 
 from conftest import bench_dataset, run_once
 
-BACKENDS = ("sparse", "bitset", "incremental", "auto")
+BACKENDS = ("sparse", "bitset", "auto")
 
 #: override with a comma-separated list (the CI smoke runs just ``adult``)
 WORKLOADS = tuple(
@@ -61,8 +61,6 @@ def _level_records(result):
             "evaluate_seconds": span.elapsed_seconds if span else None,
             "backend_chosen": record.backend_chosen,
             "evaluated": record.evaluated,
-            "cache_hits": record.cache_hits,
-            "cache_misses": record.cache_misses,
         }
     return out
 

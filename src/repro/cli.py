@@ -190,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--kernel-backend",
-        choices=("auto", "sparse", "bitset", "incremental"),
+        choices=("auto", "sparse", "bitset"),
         default="auto",
         help="evaluation-kernel backend; 'auto' picks per level via a cost "
         "model (results are identical; this only changes kernel speed)",
@@ -295,7 +295,7 @@ def build_monitor_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--kernel-backend",
-        choices=("auto", "sparse", "bitset", "incremental"),
+        choices=("auto", "sparse", "bitset"),
         default="auto",
         help="evaluation-kernel backend; 'auto' picks per level via a cost "
         "model (results are identical; this only changes kernel speed)",

@@ -23,7 +23,11 @@ from repro.core.basic import create_and_score_basic_slices
 from repro.core.compaction import CompactionState
 from repro.core.config import PruningConfig, SliceLineConfig
 from repro.core.decode import decode_topk, slice_membership
-from repro.core.evaluate import evaluate_slice_set, evaluate_slices
+from repro.core.evaluate import (
+    evaluate_slice_set,
+    evaluate_slices,
+    level_bitset_table,
+)
 from repro.core.onehot import FeatureSpace, validate_encoded_matrix
 from repro.core.pairs import get_pair_candidates
 from repro.core.scoring import score
@@ -41,7 +45,7 @@ from repro.exceptions import (
     InvalidErrorsError,
     ShapeError,
 )
-from repro.linalg import KernelState, KernelWorkspace, ensure_vector
+from repro.linalg import KernelWorkspace, ensure_vector
 from repro.obs import NULL_TRACER, CounterRegistry, Tracer, resolve_tracer
 from repro.resilience.budgets import (
     BudgetConfig,
@@ -267,11 +271,7 @@ def slice_line(
 
     # One kernel workspace (persistent thread pool) serves seed evaluation
     # and every level; the context manager guarantees pool shutdown even
-    # when a kernel or pair join raises mid-run.  One kernel state carries
-    # the per-level backend decision and the incremental backend's
-    # parent-indicator cache across levels (a resumed run starts with an
-    # empty cache — its first level falls back, results are unchanged).
-    kernels = KernelState(cfg.kernel_backend)
+    # when a kernel or pair join raises mid-run.
     with KernelWorkspace(num_threads) as workspace:
         # -- optional warm start: merge re-scored seeds into the top-K -------
         if seed_slices is not None and resume_state is None:
@@ -308,7 +308,7 @@ def slice_line(
             tripped = False
             with tracer.span(f"level{level}", level=level) as level_span:
                 with tracer.span(f"level{level}.pairs", parents=slices.shape[0]):
-                    slices, bounds, parents = get_pair_candidates(
+                    slices, bounds = get_pair_candidates(
                         slices,
                         stats,
                         level,
@@ -321,7 +321,6 @@ def slice_line(
                         pruning=cfg.pruning,
                         level_stats=current,
                         tracer=tracer,
-                        return_parents=True,
                         workspace=workspace,
                         pair_parallelism=cfg.pair_parallelism,
                     )
@@ -355,10 +354,7 @@ def slice_line(
                     coverage = None
                     if compact is not None:
                         with tracer.span(f"level{level}.compact") as compact_span:
-                            alive_local = compact.begin_level(slices)
-                            # The cached parent indicators are row-aligned
-                            # with the evaluation matrix; follow the drop.
-                            kernels.select_rows(alive_local)
+                            compact.begin_level(slices)
                             slices_eval = compact.project_slices(slices)
                             coverage = compact.new_coverage()
                             compact_span.annotate(
@@ -370,8 +366,11 @@ def slice_line(
                         x_eval, errors_eval = compact.matrix, compact.errors
                         current.rows_alive = compact.num_rows_alive
                         current.cols_alive = compact.num_cols_alive
-                    current.backend_chosen = kernels.begin_level(
-                        x_eval, level, int(slices.shape[0]), parents=parents
+                    table = level_bitset_table(
+                        x_eval, int(slices.shape[0]), cfg.kernel_backend
+                    )
+                    current.backend_chosen = (
+                        "sparse" if table is None else "bitset"
                     )
                     with tracer.span(
                         f"level{level}.evaluate", candidates=slices.shape[0],
@@ -383,9 +382,9 @@ def slice_line(
                             num_threads, current, tracer, workspace=workspace,
                             coverage=coverage, num_rows=num_rows,
                             total_error=total_error, tracker=tracker,
-                            kernels=kernels, parents=parents,
+                            table=table,
                         )
-                    kernels.end_level()
+                    del table  # free the packed table before the next level
                     if tracker is not None and tracker.trip is not None:
                         tripped = True
                     if compact is not None:
@@ -672,8 +671,7 @@ def _evaluate_level(
     num_rows=None,
     total_error=None,
     tracker=None,
-    kernels=None,
-    parents=None,
+    table=None,
 ):
     """Evaluate one level's candidates, optionally in priority order.
 
@@ -689,10 +687,8 @@ def _evaluate_level(
     top-K, decoding, and the next pair join); *slices_eval* is the same
     slice set with columns remapped for the (possibly compacted) *x_eval* —
     the two are one object when compaction is off.  All reorderings and
-    chunk splits are applied to both in lockstep — and to *parents* (the
-    per-candidate parent ids feeding the incremental kernel backend), so
-    the indicator cache blocks land in exactly the evaluation order the
-    next level's parent ids will index.
+    chunk splits are applied to both in lockstep.  *table* is the level's
+    packed bitset table (``None`` for the sparse path).
 
     When *tracker* carries a wall-clock deadline, the deadline is checked
     between evaluation chunks so one level cannot overshoot it by more than
@@ -700,120 +696,63 @@ def _evaluate_level(
     ``skipped_by_budget``.  Chunking a deadline-bounded non-priority level
     is exact: per-slice statistics are computed within independent blocks
     and top-K maintenance is order-independent, so an untripped chunked
-    evaluation is bitwise identical to the single-shot one.
+    evaluation is bitwise identical to the single-shot one.  Every emitted
+    candidate ends up in exactly one of ``evaluated``,
+    ``skipped_by_priority`` and ``skipped_by_budget``.
     """
     tracer = tracer or NULL_TRACER
+    total = slices.shape[0]
     use_priority = (
         cfg.priority_evaluation
         and bounds is not None
-        and slices.shape[0] > cfg.priority_chunk
+        and total > cfg.priority_chunk
     )
-    deadline_chunks = (
-        not use_priority
-        and tracker is not None
-        and tracker.has_deadline
-        and slices.shape[0] > cfg.priority_chunk
-    )
-    if not use_priority and not deadline_chunks:
-        stats = evaluate_slices(
-            x_eval, errors_eval, slices_eval, level, cfg.alpha,
-            block_size=cfg.block_size, num_threads=num_threads,
-            tracer=tracer, counters=current, workspace=workspace,
-            coverage=coverage, num_rows=num_rows, total_error=total_error,
-            kernels=kernels, parents=parents,
-        )
-        current.evaluated = int(slices.shape[0])
-        top_slices, top_stats = maintain_topk(
-            slices, stats, top_slices, top_stats, cfg.k, sigma
-        )
-        return slices, stats, top_slices, top_stats
-
-    if deadline_chunks:
+    use_deadline = tracker is not None and tracker.has_deadline
+    # Without priority or a deadline there is nothing to decide between
+    # chunks: evaluate the level in one shot.
+    chunk = cfg.priority_chunk if use_priority or use_deadline else total
+    if use_priority:
+        order = np.argsort(-bounds, kind="stable")
         shared = slices_eval is slices
-        kept_slices = []
-        kept_stats = []
-        position = 0
-        total = slices.shape[0]
-        while position < total:
-            chunk = slices[position : position + cfg.priority_chunk]
-            chunk_eval = (
-                chunk
-                if shared
-                else slices_eval[position : position + cfg.priority_chunk]
-            )
-            chunk_stats = evaluate_slices(
-                x_eval, errors_eval, chunk_eval, level, cfg.alpha,
-                block_size=cfg.block_size, num_threads=num_threads,
-                tracer=tracer, counters=current, workspace=workspace,
-                coverage=coverage, num_rows=num_rows, total_error=total_error,
-                kernels=kernels,
-                parents=(
-                    parents[position : position + cfg.priority_chunk]
-                    if parents is not None
-                    else None
-                ),
-            )
-            kept_slices.append(chunk)
-            kept_stats.append(chunk_stats)
-            current.evaluated += int(chunk.shape[0])
-            top_slices, top_stats = maintain_topk(
-                chunk, chunk_stats, top_slices, top_stats, cfg.k, sigma
-            )
-            position += chunk.shape[0]
-            if position < total and tracker.check_deadline(level) is not None:
-                current.skipped_by_budget += total - position
-                break
-        slices = sp.vstack(kept_slices, format="csr")
-        stats = np.vstack(kept_stats)
-        return slices, stats, top_slices, top_stats
-
-    shared = slices_eval is slices
-    order = np.argsort(-bounds, kind="stable")
-    slices = slices[order]
-    slices_eval = slices if shared else slices_eval[order]
-    bounds = bounds[order]
-    if parents is not None:
-        parents = parents[order]
+        slices = slices[order]
+        slices_eval = slices if shared else slices_eval[order]
+        bounds = bounds[order]
     kept_slices = []
     kept_stats = []
     position = 0
-    remaining = slices.shape[0]
+    remaining = total
     while position < remaining:
-        chunk = slices[position : position + cfg.priority_chunk]
-        chunk_eval = (
-            chunk
-            if shared
-            else slices_eval[position : position + cfg.priority_chunk]
-        )
+        # Clamp to `remaining`: candidates past a priority cut are already
+        # counted as skipped and must not be evaluated.
+        stop = min(position + chunk, remaining)
+        whole = position == 0 and stop == total
+        chunk_slices = slices if whole else slices[position:stop]
+        chunk_eval = slices_eval if whole else slices_eval[position:stop]
         chunk_stats = evaluate_slices(
             x_eval, errors_eval, chunk_eval, level, cfg.alpha,
             block_size=cfg.block_size, num_threads=num_threads,
             tracer=tracer, counters=current, workspace=workspace,
             coverage=coverage, num_rows=num_rows, total_error=total_error,
-            kernels=kernels,
-            parents=(
-                parents[position : position + cfg.priority_chunk]
-                if parents is not None
-                else None
-            ),
+            table=table,
         )
-        kept_slices.append(chunk)
+        kept_slices.append(chunk_slices)
         kept_stats.append(chunk_stats)
-        current.evaluated += int(chunk.shape[0])
+        current.evaluated += int(chunk_slices.shape[0])
         top_slices, top_stats = maintain_topk(
-            chunk, chunk_stats, top_slices, top_stats, cfg.k, sigma
+            chunk_slices, chunk_stats, top_slices, top_stats, cfg.k, sigma
         )
-        position += chunk.shape[0]
+        position = stop
         if (
-            tracker is not None
-            and tracker.has_deadline
+            use_deadline
             and position < remaining
             and tracker.check_deadline(level) is not None
         ):
             current.skipped_by_budget += remaining - position
             break
+        if not use_priority or position >= remaining:
+            continue
         threshold = topk_min_score(top_stats, cfg.k)
-        if position < remaining and threshold > 0.0:
+        if threshold > 0.0:
             # Bounds are sorted descending: one searchsorted finds the cut
             # past which no remaining candidate can beat the threshold.
             cut = int(
@@ -823,6 +762,8 @@ def _evaluate_level(
             if skipped > 0:
                 current.skipped_by_priority += skipped
                 remaining = position + cut
+    if len(kept_slices) == 1:
+        return kept_slices[0], kept_stats[0], top_slices, top_stats
     slices = sp.vstack(kept_slices, format="csr") if kept_slices else slices[:0]
     stats = (
         np.vstack(kept_stats) if kept_stats else np.zeros((0, 4), dtype=np.float64)

@@ -113,9 +113,9 @@ class SliceLineConfig:
     priority_chunk: int = 8192
     #: evaluation-kernel backend (see :mod:`repro.linalg.kernels`):
     #: ``"auto"`` lets a per-level cost model pick between the sparse
-    #: CSR x CSC path, the packed-bitset path, and the incremental
-    #: parent-indicator path; explicit names force one backend (subject to
-    #: its preconditions — a backend whose preconditions fail falls back).
+    #: CSR x CSC path and the packed-bitset path; explicit names force one
+    #: backend (subject to its preconditions — ``"bitset"`` falls back to
+    #: sparse on non-0/1 data or when its table would exceed its cap).
     #: All choices are bitwise identical; this only changes kernel speed.
     kernel_backend: str = "auto"
     #: worker width of the parallel pair-candidate pipeline (see
@@ -143,10 +143,10 @@ class SliceLineConfig:
             raise ConfigError(
                 f"priority_chunk must be >= 1, got {self.priority_chunk}"
             )
-        if self.kernel_backend not in ("auto", "sparse", "bitset", "incremental"):
+        if self.kernel_backend not in ("auto", "sparse", "bitset"):
             raise ConfigError(
                 "kernel_backend must be one of 'auto', 'sparse', 'bitset', "
-                f"'incremental', got {self.kernel_backend!r}"
+                f"got {self.kernel_backend!r}"
             )
         if self.pair_parallelism < 0:
             raise ConfigError(

@@ -23,6 +23,12 @@ row/column-compacted data matrix (:mod:`repro.core.compaction`), the
 full population, and the optional ``coverage`` accumulator records which
 data rows matched at least one slice — the input of the next level's row
 compaction — as a by-product of the indicator that is computed anyway.
+
+On 0/1 data the same indicator can come from packed row bitsets instead
+(:mod:`repro.linalg.kernels`).  :func:`level_bitset_table` runs the
+per-level cost model and packs the table for that level only; callers pass
+it to :func:`evaluate_slices` for every chunk of the level and drop it
+afterwards, so no kernel state is carried from one level to the next.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ import scipy.sparse as sp
 
 from repro.exceptions import ValidationError
 from repro.linalg import (
-    KernelState,
+    BitsetTable,
     KernelWorkspace,
     as_csr,
     col_maxs,
@@ -43,7 +49,13 @@ from repro.linalg import (
     resolve_workspace,
     row_nnz,
 )
-from repro.linalg.kernels import BITSET_CHUNK, is_binary_matrix, words_block_stats
+from repro.linalg.kernels import (
+    BACKENDS,
+    BITSET_CHUNK,
+    choose_backend,
+    is_binary_matrix,
+    words_block_stats,
+)
 from repro.core.scoring import score
 from repro.core.types import stats_matrix
 from repro.obs import NULL_TRACER
@@ -121,72 +133,29 @@ def evaluate_block(
     return sizes, slice_errors, max_errors
 
 
-def _evaluate_words_level(
+def level_bitset_table(
     x_onehot: sp.csr_matrix,
-    errors: np.ndarray,
-    slices: sp.csr_matrix,
-    level: int,
-    kernels: KernelState,
-    parents: np.ndarray | None,
-    num_threads: int,
-    workspace: KernelWorkspace | None = None,
-    coverage: np.ndarray | None = None,
-    counters=None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(ss, se, sm)`` via the bitset/incremental indicator backends.
+    num_candidates: int,
+    backend: str,
+    slices_binary: bool = True,
+) -> BitsetTable | None:
+    """Run the per-level cost model; pack the bitset table if it picks one.
 
-    Candidates are processed in fixed :data:`~repro.linalg.kernels.
-    BITSET_CHUNK`-sized chunks — independent of the caller's ``block_size``,
-    which cannot matter here because every candidate's statistics are
-    computed in isolation from its own indicator bitset.  Chunk workers are
-    pure (the miss table is materialized up front, cache appends and
-    counter updates happen serially afterwards in chunk order), so the
-    thread pool never races the per-run kernel state.
+    Returns ``None`` when the level should take the sparse path — always
+    for ``backend="sparse"`` and for non-0/1 data or slices.  The table
+    belongs to this level alone: nothing is carried to the next one.
     """
-    num_slices = slices.shape[0]
-    num_rows = x_onehot.shape[0]
-    if not slices.has_sorted_indices:
-        slices = slices.copy()
-        slices.sort_indices()
-    keys = slices.indices.reshape(num_slices, level)
-    track_rows = coverage is not None
-    incremental = kernels.backend == "incremental"
-    if incremental:
-        kernels.prepare_chunks(parents)
-    spans = [
-        (start, min(start + BITSET_CHUNK, num_slices))
-        for start in range(0, num_slices, BITSET_CHUNK)
-    ]
-
-    def run(span):
-        start, stop = span
-        chunk_parents = parents[start:stop] if incremental else None
-        words, hits, misses = kernels.chunk_words(
-            keys[start:stop], chunk_parents
-        )
-        sizes, slice_errors, max_errors, covered = words_block_stats(
-            words, errors, num_rows, track_rows
-        )
-        return sizes, slice_errors, max_errors, covered, words, hits, misses
-
-    ws, transient = resolve_workspace(workspace, num_threads)
-    try:
-        partials = ws.map(run, spans)
-    finally:
-        if transient:
-            ws.close()
-    for partial in partials:
-        if track_rows:
-            np.logical_or(coverage, partial[3], out=coverage)
-        kernels.store_words(partial[4])
-        if counters is not None:
-            counters.cache_hits += partial[5]
-            counters.cache_misses += partial[6]
-    return (
-        np.concatenate([p[0] for p in partials]),
-        np.concatenate([p[1] for p in partials]),
-        np.concatenate([p[2] for p in partials]),
+    num_rows, num_cols = x_onehot.shape
+    chosen = choose_backend(
+        backend,
+        num_rows=num_rows,
+        num_cols=num_cols,
+        num_candidates=num_candidates,
+        binary_data=(
+            backend != "sparse" and slices_binary and is_binary_matrix(x_onehot)
+        ),
     )
+    return BitsetTable.from_matrix(x_onehot) if chosen == "bitset" else None
 
 
 def _evaluate_uniform_level(
@@ -198,37 +167,50 @@ def _evaluate_uniform_level(
     num_threads: int,
     workspace: KernelWorkspace | None = None,
     coverage: np.ndarray | None = None,
-    kernels: KernelState | None = None,
-    parents: np.ndarray | None = None,
-    counters=None,
+    table: BitsetTable | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Blocked ``(ss, se, sm)`` evaluation of same-level slices.
 
-    With a prepared :class:`~repro.linalg.KernelState` whose per-level
-    decision is not ``"sparse"``, evaluation is delegated to the bitset /
-    incremental backends (bitwise identical by construction).  Otherwise
-    the transpose ``S^T`` is materialized once in CSC form; each block is a
-    column slice of it.  When *coverage* (a boolean vector over the data
-    rows) is given, rows matching >= 1 evaluated slice are OR-ed into it.
+    Without a *table* the transpose ``S^T`` is materialized once in CSC
+    form and each block of ``block_size`` slices is a column slice of it.
+    With the level's packed :class:`~repro.linalg.BitsetTable` the bitset
+    backend runs instead (bitwise identical by construction) over fixed
+    :data:`~repro.linalg.kernels.BITSET_CHUNK`-sized chunks — ``block_size``
+    cannot matter there because every candidate's statistics come from its
+    own indicator bitset.  Workers only read shared inputs; when *coverage*
+    (a boolean vector over the data rows) is given, rows matching >= 1
+    evaluated slice are OR-ed into it serially afterwards.
     """
-    if kernels is not None and kernels.backend != "sparse":
-        return _evaluate_words_level(
-            x_onehot, errors, slices, level, kernels, parents, num_threads,
-            workspace=workspace, coverage=coverage, counters=counters,
-        )
     num_slices = slices.shape[0]
-    slices_t = slices.T.tocsc()
-    blocks = [
-        slices_t[:, start : min(start + block_size, num_slices)]
-        for start in range(0, num_slices, block_size)
-    ]
     track_rows = coverage is not None
+    if table is not None:
+        if not slices.has_sorted_indices:
+            slices = slices.copy()
+            slices.sort_indices()
+        keys = slices.indices.reshape(num_slices, level)
+        tasks = [
+            keys[start : start + BITSET_CHUNK]
+            for start in range(0, num_slices, BITSET_CHUNK)
+        ]
+
+        def run(chunk_keys):
+            return words_block_stats(
+                table.candidate_words(chunk_keys), errors, table.num_rows,
+                track_rows,
+            )
+    else:
+        slices_t = slices.T.tocsc()
+        tasks = [
+            slices_t[:, start : min(start + block_size, num_slices)]
+            for start in range(0, num_slices, block_size)
+        ]
+
+        def run(block):
+            return _block_stats(x_onehot, errors, block, level, track_rows)
+
     ws, transient = resolve_workspace(workspace, num_threads)
     try:
-        partials = ws.map(
-            lambda blk: _block_stats(x_onehot, errors, blk, level, track_rows),
-            blocks,
-        )
+        partials = ws.map(run, tasks)
     finally:
         if transient:
             ws.close()
@@ -284,14 +266,15 @@ def evaluate_slice_set(
 
     *backend* selects the evaluation kernel (see
     :mod:`repro.linalg.kernels`): ``"sparse"`` (the default, and always
-    exact), ``"bitset"``, ``"auto"``, or ``"incremental"`` — the last has
-    no parent cache outside the enumeration and therefore degrades to the
-    bitset backend when the data permits.  Results are bitwise identical
-    for every choice.
+    exact), ``"bitset"`` or ``"auto"``.  Results are bitwise identical for
+    every choice.
     """
     if block_size < 1:
         raise ValidationError("block_size must be >= 1")
-    kernels = KernelState(backend) if backend != "sparse" else None
+    if backend not in BACKENDS:
+        raise ValidationError(
+            f"unknown kernel backend {backend!r}; expected one of {BACKENDS}"
+        )
     errors = ensure_vector(errors, x_onehot.shape[0], "errors")
     if num_rows is None:
         num_rows = x_onehot.shape[0]
@@ -324,14 +307,13 @@ def evaluate_slice_set(
                 )
             continue
         group = slices[members]
-        if kernels is not None:
-            kernels.begin_level(
-                x_onehot, int(level), int(members.size),
-                slices_binary=is_binary_matrix(group),
-            )
+        table = level_bitset_table(
+            x_onehot, int(members.size), backend,
+            slices_binary=is_binary_matrix(group),
+        )
         group_sizes, group_errors, group_max = _evaluate_uniform_level(
             x_onehot, errors, group, int(level), block_size,
-            num_threads, workspace=workspace, kernels=kernels,
+            num_threads, workspace=workspace, table=table,
         )
         sizes[members] = group_sizes
         slice_errors[members] = group_errors
@@ -353,8 +335,7 @@ def evaluate_slices(
     coverage: np.ndarray | None = None,
     num_rows: int | None = None,
     total_error: float | None = None,
-    kernels: KernelState | None = None,
-    parents: np.ndarray | None = None,
+    table: BitsetTable | None = None,
 ) -> np.ndarray:
     """Evaluate all candidate *slices* and return their ``R`` statistics.
 
@@ -375,10 +356,9 @@ def evaluate_slices(
     indicator fill (total row-slice memberships, which equals ``nnz(I)``)
     is accumulated on it.
 
-    *kernels* is the driver's per-run :class:`~repro.linalg.KernelState`
-    (already positioned at this level via ``begin_level``); *parents* the
-    candidates' parent-pair ids for its incremental backend.  Omitting both
-    keeps the sparse path — the default for every external caller.
+    *table* is the level's packed bitset table from
+    :func:`level_bitset_table`; omitting it keeps the sparse path — the
+    default for every external caller.
     """
     if block_size < 1:
         raise ValidationError("block_size must be >= 1")
@@ -398,12 +378,11 @@ def evaluate_slices(
         num_slices=num_slices,
         blocks=num_blocks,
         threads=num_threads,
-        backend=kernels.backend if kernels is not None else "sparse",
+        backend="sparse" if table is None else "bitset",
     ):
         sizes, slice_errors, max_errors = _evaluate_uniform_level(
             x_onehot, errors, slices, level, block_size, num_threads,
-            workspace=workspace, coverage=coverage, kernels=kernels,
-            parents=parents, counters=counters,
+            workspace=workspace, coverage=coverage, table=table,
         )
     if counters is not None:
         # Every stored entry of I = (X S^T == L) is one (row, slice)

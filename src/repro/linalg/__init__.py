@@ -43,8 +43,6 @@ from repro.linalg.blocks import (
 from repro.linalg.kernels import (
     BACKENDS,
     BitsetTable,
-    IndicatorCache,
-    KernelState,
     choose_backend,
     pack_bool_rows,
     popcount_rows,
@@ -56,8 +54,6 @@ from repro.linalg.workspace import KernelWorkspace, resolve_workspace
 __all__ = [
     "BACKENDS",
     "BitsetTable",
-    "IndicatorCache",
-    "KernelState",
     "choose_backend",
     "pack_bool_rows",
     "popcount_rows",

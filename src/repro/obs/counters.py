@@ -75,14 +75,9 @@ class LevelCounters:
     #: total number of (row, slice) memberships materialized this level
     indicator_nnz: int = 0
     #: evaluation-kernel backend the cost model chose for this level
-    #: (``"sparse"``/``"bitset"``/``"incremental"``; empty when the level
-    #: never reached evaluation — see :mod:`repro.linalg.kernels`)
+    #: (``"sparse"``/``"bitset"``; empty when the level never reached
+    #: evaluation — see :mod:`repro.linalg.kernels`)
     backend_chosen: str = ""
-    #: candidates whose indicator came from both parents' cached bitsets
-    cache_hits: int = 0
-    #: candidates whose parents fell outside the capped indicator cache
-    #: (their indicator was recomputed from the column bitset table)
-    cache_misses: int = 0
     #: data rows in the compacted evaluation matrix this level (0 when
     #: compaction is disabled; divide by the run's ``num_rows`` for the
     #: rows-retained ratio)
@@ -131,7 +126,7 @@ class LevelCounters:
 _TEXT_GAUGES = frozenset({"backend_chosen"})
 
 #: Fields that vary with wall-clock or execution shape (thread count, chunk
-#: grid, cache pressure, backend choice) but never with results.  Bitwise
+#: grid, backend choice) but never with results.  Bitwise
 #: result-equivalence tests compare counter records with these removed —
 #: everything else must be identical across any ``pair_parallelism``,
 #: ``num_threads``, ``kernel_backend``, or chunking configuration.
@@ -145,8 +140,6 @@ EXECUTION_FIELDS = frozenset(
         "join_chunks",
         "join_parallelism",
         "backend_chosen",
-        "cache_hits",
-        "cache_misses",
     }
 )
 

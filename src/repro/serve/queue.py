@@ -227,6 +227,8 @@ class JobQueue:
     def has_free_slot(self, tenant: str) -> bool:
         """True when *tenant* is below its ``max_running`` limit."""
         with self._cond:
+            if self._closed:
+                return False
             quota = self._quota_for(tenant)
             return self._running.get(tenant, 0) < quota.max_running
 
@@ -253,8 +255,15 @@ class JobQueue:
             }
 
     def close(self) -> None:
+        """Refuse admissions and wake every ``take`` with ``None``.
+
+        A closed queue never consults quotas again, so the quota callable
+        is dropped: it is usually a bound method of the owning service, and
+        keeping it would hold the service in a reference cycle.
+        """
         with self._cond:
             self._closed = True
+            self._quota_for = None
             self._cond.notify_all()
 
 

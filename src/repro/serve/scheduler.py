@@ -110,6 +110,10 @@ class Scheduler:
         if wait:
             for thread in self._threads:
                 thread.join(timeout=10.0)
+            # The joined workers never call back again; dropping the
+            # callback (a bound method of the service) breaks the
+            # service <-> scheduler cycle.
+            self._execute = None
         self._threads = []
 
 

@@ -282,6 +282,8 @@ class ProcessWorkerSupervisor:
         if wait:
             for thread in self._threads:
                 thread.join(timeout=10.0)
+            # Same cycle break as Scheduler.shutdown.
+            self._execute = None
         for slot in self._slots:
             if slot.alive:
                 try:

@@ -22,6 +22,7 @@ class TestSliceLineConfig:
         ("max_level", 0),
         ("block_size", 0),
         ("priority_chunk", 0),
+        ("kernel_backend", "incremental"),
     ])
     def test_invalid_values_rejected(self, field, value):
         with pytest.raises(ConfigError):

@@ -307,6 +307,30 @@ class TestPriorityAccounting:
             c.skipped_by_priority == 0 for c in res_plain.counters.levels
         )
 
+    def test_cut_mid_level_never_evaluates_skipped_candidates(self):
+        """A chunk after a priority cut stops at the cut, not a full chunk.
+
+        Candidates past the cut are counted as skipped; evaluating them
+        anyway would double-count them and break flow conservation.
+        """
+        gen = np.random.default_rng(1)
+        x0 = np.column_stack(
+            [gen.integers(1, 5, size=600) for _ in range(7)]
+        ).astype(np.int64)
+        errors = (gen.random(600) < 0.2).astype(np.float64)
+        errors[(x0[:, 0] == 1) & (x0[:, 1] == 2)] = 1.0
+        priority = SliceLineConfig(k=8, sigma=8, priority_chunk=64)
+        res = slice_line(x0, errors, priority)
+        assert res.counters.reconcile() == []
+        assert res.counters.total("skipped_by_priority") > 0
+        plain = slice_line(
+            x0, errors, priority.with_overrides(priority_evaluation=False)
+        )
+        np.testing.assert_array_equal(res.top_stats, plain.top_stats)
+        np.testing.assert_array_equal(
+            res.top_slices_encoded, plain.top_slices_encoded
+        )
+
 
 class TestPruningCounterCoverage:
     """Satellite: disabling one pruning toggle zeroes exactly its counter."""

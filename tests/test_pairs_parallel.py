@@ -79,7 +79,7 @@ def pairs_problem(seed=11, n=700, m=6, missing=0.0):
 
 def run_pairs(fn, problem, *, level=2, pruning=None, topk_min_score=0.0, **kw):
     recorder = LevelCounters(level=level)
-    matrix, bounds, parents = fn(
+    matrix, bounds = fn(
         problem["slices"],
         problem["stats"],
         level,
@@ -91,23 +91,19 @@ def run_pairs(fn, problem, *, level=2, pruning=None, topk_min_score=0.0, **kw):
         feature_map=problem["feature_map"],
         pruning=pruning,
         level_stats=recorder,
-        return_parents=True,
         **kw,
     )
-    return matrix, bounds, parents, recorder
+    return matrix, bounds, recorder
 
 
 def assert_pairs_identical(ref, new, label=""):
-    ref_matrix, ref_bounds, ref_parents, ref_rec = ref
-    new_matrix, new_bounds, new_parents, new_rec = new
+    ref_matrix, ref_bounds, ref_rec = ref
+    new_matrix, new_bounds, new_rec = new
     assert ref_matrix.shape == new_matrix.shape, label
     assert (ref_matrix != new_matrix).nnz == 0, label
     assert (ref_bounds is None) == (new_bounds is None), label
     if ref_bounds is not None:
         assert np.array_equal(ref_bounds, new_bounds), label
-    assert (ref_parents is None) == (new_parents is None), label
-    if ref_parents is not None:
-        assert np.array_equal(ref_parents, new_parents), label
     for field in fields(ref_rec):
         if field.name in EXECUTION_FIELDS:
             continue
@@ -244,9 +240,7 @@ class TestEndToEndOracle:
         new_records = _records(run)
         assert ref_records == new_records
 
-    @pytest.mark.parametrize(
-        "backend", ["auto", "sparse", "bitset", "incremental"]
-    )
+    @pytest.mark.parametrize("backend", ["auto", "sparse", "bitset"])
     def test_kernel_backends(self, backend):
         problem = pairs_problem(n=400)
         config = SliceLineConfig(

@@ -52,10 +52,8 @@ def dyadic_problem(seed, n=None, m=None):
 def counters_records(result):
     """Per-level counter dicts without timing/execution-shape fields.
 
-    A resumed run restarts with an empty indicator cache and may see a
-    different candidate geometry per level, so the kernel and pair-plan
-    cost models may legitimately make different (equally exact) choices
-    than the uninterrupted run did — everything in
+    Timings and the execution shape (chunk grids, pair-plan width, the
+    kernel backend chosen) never affect results, so everything in
     :data:`repro.obs.counters.EXECUTION_FIELDS` is excluded.
     """
     from repro.obs.counters import EXECUTION_FIELDS
@@ -417,6 +415,27 @@ class TestCheckpointResume:
         again = load_checkpoint(str(tmp_path / f"level-{state.level:04d}"))
         assert again.level == state.level
         assert np.array_equal(again.top_stats, state.top_stats)
+
+    def test_resume_ignores_retired_counter_fields(self, tmp_path):
+        """Bundles whose counter records carry fields that no longer exist
+        (``cache_hits``/``cache_misses``) still resume bitwise-identically."""
+        x0, errors = dyadic_problem(32, n=400, m=5)
+        cfg = SliceLineConfig(k=5, sigma=2)
+        full = run_with_checkpoints(x0, errors, cfg, tmp_path)
+        bundles = sorted(os.listdir(tmp_path))
+        assert len(bundles) >= 2
+        for bundle in bundles:
+            meta_path = tmp_path / bundle / "meta.json"
+            meta = json.loads(meta_path.read_text())
+            for record in meta["counters"]:
+                record["cache_hits"] = 7
+                record["cache_misses"] = 3
+            meta_path.write_text(json.dumps(meta))
+            resumed = slice_line(
+                x0, errors, cfg, resume_from=str(tmp_path / bundle)
+            )
+            assert resumed.completed
+            assert_identical(full, resumed)
 
     def test_estimator_checkpoint_and_resume(self, tmp_path):
         x0, errors = dyadic_problem(40, n=300, m=4)

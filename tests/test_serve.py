@@ -15,9 +15,11 @@ The load-bearing guarantees:
 
 from __future__ import annotations
 
+import gc
 import json
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -464,6 +466,28 @@ class TestSliceService:
             assert not any(".evaluate" in name for name in names)
             assert service.registry.gauges["serve.cache_hits"] >= 1
             assert service.registry.events["serve.cache_hits"] == 1
+
+    def test_shut_down_service_is_freed_without_cyclic_gc(
+        self, planted_dataset, service_workdir
+    ):
+        """The queue and scheduler must not keep a shut-down service alive.
+
+        Both hold bound methods of the service; if shutdown leaves them in
+        place, the service, its records, results and input arrays survive
+        until a full cyclic collection.
+        """
+        gc.collect()
+        gc.disable()
+        try:
+            service = SliceService(num_workers=1, workdir=service_workdir)
+            record = service.submit(self._spec(planted_dataset))
+            service.result(record.job_id, timeout=60)
+            service.shutdown()
+            ref = weakref.ref(service)
+            del service, record
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_cache_hit_matches_cold_run_bitwise(
         self, planted_dataset, service_workdir
